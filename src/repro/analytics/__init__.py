@@ -17,8 +17,6 @@ components via union-find, degree by frontier counting), dirty-threshold
 recompute elsewhere (PageRank, CDLP, triangles, LCC, k-core recompute only
 once accumulated delta nnz crosses a configurable fraction of the graph,
 serving the last committed result with a staleness tag meanwhile).
-Recomputes run through the ordinary kernel layer, so an installed kernel
-executor (``REPRO_WORKERS``) parallelises them for free.
 """
 
 from repro.analytics.engine import (

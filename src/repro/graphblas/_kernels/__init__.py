@@ -12,12 +12,4 @@ why the two representations never need to be reconciled.
 No kernel here allocates Python objects per entry; hot paths are lexsort
 merges, ``np.repeat`` expansions and ``ufunc.reduceat`` segment reductions,
 per the hpc-parallel guidance (vectorise; mind memory traffic; measure).
-
-The kernels are not serial-only: :mod:`repro.graphblas._kernels.parallel`
-re-runs the big ones (SpGEMM, SpMV, row reduce, dirty-row merge) over
-nnz-balanced row blocks on the process-wide kernel executor
-(``REPRO_WORKERS`` / :func:`~repro.graphblas._kernels.parallel.
-set_kernel_executor`) once the estimated work clears the
-``REPRO_PARALLEL_CUTOFF`` -- bit-identical results, serial fallback below
-the cutoff.
 """

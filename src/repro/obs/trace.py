@@ -335,8 +335,7 @@ def get_tracer() -> Optional[Tracer]:
 
     This is THE hot-path guard: instrumentation sites call it once per
     operation and do nothing when it returns ``None``.  Lazily installs a
-    tracer on first call when ``REPRO_TRACE`` is set (mirroring the
-    kernel executor's ``REPRO_WORKERS`` idiom).
+    tracer on first call when ``REPRO_TRACE`` is set.
     """
     t = _slot["tracer"]
     if t is not None or _slot["env_checked"]:

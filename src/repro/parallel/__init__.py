@@ -8,12 +8,10 @@ comments".  CPython threads cannot speed up CPU-bound per-comment work
 evaluation, reproducing OpenMP's cheap-region cost model.  The serial,
 thread, per-region process-pool and per-region fork-join executors exist
 for the ablation benchmark that documents this substitution chain
-(``benchmarks/bench_ablation_parallel.py``).
-
-Since the multicore kernel layer landed, the same pool also serves as the
-process-wide *kernel executor* (:mod:`repro.graphblas._kernels.parallel`,
-``REPRO_WORKERS``): comment-granularity parallelism here, row-block
-kernel parallelism there, one worker-pool mechanism underneath both.
+(``benchmarks/bench_ablation_parallel.py``).  The pool's pipe framing
+(:func:`~repro.parallel.pool.send_frame` /
+:func:`~repro.parallel.pool.recv_frame`) also carries the
+process-per-shard RPC of :mod:`repro.sharding`.
 """
 
 from repro.parallel.executor import (

@@ -230,10 +230,12 @@ class ChangeLog:
     ) -> Iterator[tuple[int, ChangeSet, int]]:
         """Yield committed (version, batch, epoch) with version > ``after_version``.
 
-        A torn batch at the tail (``BEGIN`` without its ``COMMIT``) is the
-        signature of a crash mid-append and is silently dropped; a torn
-        batch *followed by more records* is corruption and raises.  Frames
-        written before the epoch field existed replay as epoch 0.
+        Only newline-terminated rows count: an unterminated final row is a
+        write the crash cut short, never parsed.  A torn batch at the tail
+        (``BEGIN`` without a terminated ``COMMIT``) is the signature of a
+        crash mid-append and is silently dropped; a torn batch *followed
+        by more records* is corruption and raises.  Frames written before
+        the epoch field existed replay as epoch 0.
         """
         if not self.path.exists():
             return
@@ -242,7 +244,10 @@ class ChangeLog:
         open_changes: list = []
         torn_at: Optional[int] = None
         with open(self.path, newline="") as fh:
-            for row in csv.reader(fh):
+            text = fh.read()
+        # only newline-terminated rows count: drop an unterminated last row
+        with io.StringIO(text[: text.rfind("\n") + 1], newline="") as lines:
+            for row in csv.reader(lines):
                 if not row:
                     continue
                 if torn_at is not None:
@@ -288,10 +293,13 @@ class ChangeLog:
         Recovery must call this before the log is appended to again:
         replay merely *skips* a torn tail, but appending a new frame after
         one would turn the recoverable crash artefact into mid-log
-        corruption on the next recovery.  Truncating at the last
-        ``COMMIT`` is tail-only by construction -- an interior torn frame
-        (real corruption) sits *before* a later COMMIT, survives the
-        truncation, and still raises in :meth:`replay`.
+        corruption on the next recovery.  Truncating after the last
+        newline-terminated ``COMMIT`` row is tail-only by construction --
+        an interior torn frame (real corruption) sits *before* a later
+        COMMIT, survives the truncation, and still raises in
+        :meth:`replay`.  An unterminated ``COMMIT`` is cut with the rest
+        of its frame, as :meth:`replay_frames` drops it: the next append
+        must never glue onto a half-written row.
         """
         if not self.path.exists():
             return False
@@ -301,7 +309,8 @@ class ChangeLog:
                 line = fh.readline()
                 if not line:
                     break
-                if line.split(b",", 1)[0].strip() == b"COMMIT":
+                terminated = line.endswith(b"\n")
+                if terminated and line.split(b",", 1)[0].strip() == b"COMMIT":
                     good = fh.tell()
         if good >= self.path.stat().st_size:
             return False

@@ -48,13 +48,10 @@ from typing import Iterable, Optional, Union
 from repro.analytics.engine import ANALYTICS_NAMES, make_analytics_engine
 from repro.faults import fire as _fire_fault
 from repro.faults import register_crash_point
-from repro.graphblas._kernels import parallel as _kparallel
 from repro.model.changes import Change, ChangeSet
 from repro.model.graph import SocialGraph
-from repro.obs.kernels import get_kernel_profiler
 from repro.obs.metrics import MetricsRegistry, render_prometheus
 from repro.obs.trace import current_span, get_tracer, span_if, trace_output_path
-from repro.parallel.executor import Executor
 from repro.queries.engine import TOOL_NAMES, make_engine
 from repro.serving.cache import CachedResult, ResultCache
 from repro.serving.ingest import MicroBatcher, SubmitGate, coerce_changes
@@ -121,7 +118,6 @@ class GraphService:
         analytics_threshold: float = 0.1,
         k: int = 3,
         q2_algorithm: str = "fastsv",
-        executor: Optional[Executor] = None,
         max_batch: int = 256,
         max_delay_ms: float = 50.0,
         max_pending: Optional[int] = None,
@@ -217,7 +213,7 @@ class GraphService:
         for tool in self.tools:
             for query in self.queries:
                 self._engines[(query, tool)] = make_engine(
-                    tool, query, k=k, executor=executor, q2_algorithm=q2_algorithm
+                    tool, query, k=k, q2_algorithm=q2_algorithm
                 )
         # analytics engines are registered under (name, name): the tool IS
         # the query, so query("pagerank") reads its cache entry directly
@@ -226,23 +222,7 @@ class GraphService:
                 name, k=k, recompute_threshold=analytics_threshold, partition=shard
             )
 
-        # Parallel machinery.  The kernel executor (REPRO_WORKERS) forks its
-        # workers *now*, before engines load and the heap grows -- the same
-        # place OpenMP pays its thread-spawn cost.  The service holds one
-        # shared reference so teardown can stop the workers once the last
-        # holder closes, without closing a caller-installed executor.  The
-        # fan-out pool refreshes independent engines concurrently per batch.
-        self._kex_retained = False
-        kex = _kparallel.retain_kernel_executor()
-        if kex is not None:
-            self._kex_retained = True
-            try:
-                if hasattr(kex, "start"):
-                    kex.start()
-            except BaseException:
-                # a failed fork must not wedge the refcount above zero
-                self._teardown_parallel()
-                raise
+        # the fan-out pool refreshes independent engines concurrently per batch
         self._fanout: Optional[ThreadPoolExecutor] = None
         if concurrent_refresh and len(self._engines) > 1:
             self._fanout = ThreadPoolExecutor(
@@ -260,8 +240,7 @@ class GraphService:
             if self._store is not None and not self._store.versions():
                 self.snapshot()
         except BaseException:
-            # failed construction must not strand the retained kernel
-            # executor (refcount wedged above zero => orphaned workers)
+            # failed construction must not strand the fan-out threads
             self._teardown_parallel()
             raise
 
@@ -422,9 +401,8 @@ class GraphService:
         failed and every later operation raises -- in particular no later
         batch can reuse this batch's WAL version number.  The durable
         state stays sound: the frame is already committed, and
-        :meth:`recover` replays it in full.  The failure path also tears
-        down the parallel machinery so a crashed apply never strands
-        forked kernel workers.
+        :meth:`recover` replays it in full.  The failure path also stops
+        the fan-out threads.
         """
         next_version = self.version + 1
         tr = get_tracer()
@@ -466,18 +444,15 @@ class GraphService:
     def _refresh_engines(self, batch: ChangeSet, delta, next_version: int) -> None:
         """Fan one applied delta out to every engine; commit deterministically.
 
-        With the fan-out pool, engines refresh concurrently -- keyed
-        futures, one per group of engines that can safely run in parallel
-        (engines sharing a user-provided parallel executor are grouped
-        serially; the pipe-per-worker pools are single-region).  Outcomes
-        are *committed* (metrics + cache) in the fixed engine registration
-        order regardless of completion order, so the versioned cache and
-        the per-engine ``refresh[tool]`` metrics stay reproducible.  The
-        first engine failure, also in that order, re-raises into the
-        fail-stop path.
+        With the fan-out pool, engines refresh concurrently -- one future
+        per engine.  Outcomes are *committed* (metrics + cache) in the
+        fixed engine registration order regardless of completion order, so
+        the versioned cache and the per-engine ``refresh[tool]`` metrics
+        stay reproducible.  The first engine failure, also in that order,
+        re-raises into the fail-stop path.
 
-        Adaptive: like the kernel-layer cutoff, the fan-out only engages
-        when the engines' last measured combined refresh time clears
+        Adaptive: the fan-out only engages when the engines' last measured
+        combined refresh time clears
         :data:`MIN_FANOUT_REFRESH_S` -- sub-millisecond micro-batch
         refreshes would otherwise pay more in thread dispatch than they
         can win back in overlap.
@@ -505,24 +480,16 @@ class GraphService:
                 self.graph.friends,
                 self.graph.commented,
             )
-            groups: dict[int, list] = {}
-            for key, engine in engines:
-                ex = getattr(engine, "executor", None)
-                gid = id(ex) if ex is not None else id(engine)
-                groups.setdefault(gid, []).append((key, engine))
             futures = [
-                self._fanout.submit(self._refresh_group, members, batch, delta)
-                for members in groups.values()
+                self._fanout.submit(self._refresh_group, [member], batch, delta)
+                for member in engines
             ]
             outcomes = {}
             for fut in futures:
                 outcomes.update(fut.result())
         with span_if(tr, "commit", parent=parent, version=next_version):
             for (query, tool), engine in engines:
-                outcome = outcomes.get((query, tool))
-                if outcome is None:  # skipped after an earlier failure in its group
-                    continue
-                status, payload, top, dt, t0 = outcome
+                status, payload, top, dt, t0 = outcomes[(query, tool)]
                 if tr is not None:
                     # recorded here, in registration order, not on the worker
                     # thread that measured it: the span log stays reproducible
@@ -675,14 +642,12 @@ class GraphService:
 
     def stats(self) -> dict:
         """Operational snapshot: version, queue, graph, per-op latencies,
-        typed metrics (``"metrics"``), cache counters (``"ops"]["cache"``)
-        and -- when ``REPRO_PROFILE_KERNELS`` is on -- per-kernel
-        profiling aggregates (``"kernels"``)."""
+        typed metrics (``"metrics"``) and cache counters
+        (``"ops"]["cache"``)."""
         with self._lock:
             self._update_storage_gauge()
             ops = self._metrics.summary()
             ops["cache"] = self._cache.stats()
-            prof = get_kernel_profiler()
             return {
                 "version": self.version,
                 "pending": self._batcher.pending,
@@ -696,7 +661,6 @@ class GraphService:
                 "storage": self.graph.storage_stats(),
                 "ops": ops,
                 "metrics": self.registry.snapshot(),
-                "kernels": prof.summary() if prof is not None else {},
                 "persistent": self._store is not None,
                 "snapshots": self._store.versions() if self._store else [],
                 "recovered_from": self._recovered_from,
@@ -780,21 +744,15 @@ class GraphService:
                 tr.dump(out)
 
     def _teardown_parallel(self) -> None:
-        """Stop the fan-out threads and release the forked kernel workers.
+        """Stop the fan-out threads.
 
         Idempotent; called from :meth:`close` and from the fail-stop path
-        so neither a graceful shutdown nor a crashed apply leaves orphaned
-        child processes.  The kernel executor is process-wide and
-        reference-counted: this drops the service's reference, and the
-        workers are closed when the last holder lets go (an explicitly
-        installed executor stays caller-owned and is never closed here).
+        so neither a graceful shutdown nor a crashed apply leaves the
+        refresh threads running.
         """
         if self._fanout is not None:
             self._fanout.shutdown(wait=True, cancel_futures=True)
             self._fanout = None
-        if self._kex_retained:
-            self._kex_retained = False
-            _kparallel.release_kernel_executor()
 
     def _check_open(self) -> None:
         if self._failed:

@@ -4,7 +4,7 @@ The horizontal-scale axis of the ROADMAP's serving north star: the graph
 itself is partitioned (see :mod:`repro.sharding.partition`) across K
 :class:`~repro.serving.service.GraphService` shards -- each with its own
 :class:`~repro.model.graph.SocialGraph` arenas, engine registry, WAL +
-snapshot directory and kernel workers -- and a thin router owns the write
+snapshot directory -- and a thin router owns the write
 path, the consistency barrier and the scatter-gather read path:
 
 writes

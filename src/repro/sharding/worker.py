@@ -13,18 +13,17 @@ and then answer :mod:`repro.sharding.handle` RPC frames until a
 Fork hygiene, in request order of importance:
 
 * **exit only via ``os._exit``** -- the parent's ``atexit`` registry is
-  inherited and must never run here (it would close the kernel pool's
-  shared pipes out from under the parent);
+  inherited and must never run here (it would close a parent-owned
+  worker pool's shared pipes out from under the parent);
 * **close inherited parent-side pipe ends** of every sibling handle, so
   a dead parent/sibling produces EOF instead of orphaned workers;
-* **never touch the parent's kernel executor** -- the refcounted slot in
-  :mod:`repro.graphblas._kernels.parallel` already refuses foreign pids,
-  so shard-local kernels simply run serially inside the worker;
 * **own the telemetry locally** -- the inherited tracer's span log is
   cleared at boot (the parent keeps the originals) and drained into
-  every reply envelope; ``REPRO_TRACE`` is scrubbed from the child
-  environment so ``service.close()`` cannot clobber the parent's trace
-  dump with a per-shard fragment;
+  every reply envelope; a request that asks for tracing installs a
+  tracer *before* it runs, so a router that turned tracing on after the
+  fork gets that request's spans too; ``REPRO_TRACE`` is scrubbed from
+  the child environment so ``service.close()`` cannot clobber the
+  parent's trace dump with a per-shard fragment;
 * **fault plans are per-request state** -- each request carries either a
   fresh pickled :class:`~repro.faults.FaultPlan`, an uninstall, or an
   "unchanged" sentinel; crash points then fire *inside this process*,
@@ -80,13 +79,20 @@ def _owned_ids(service) -> dict:
     }
 
 
+def _ensure_tracer(want_trace: bool) -> None:
+    """Install a tracer before a traced request runs.
+
+    The router may turn tracing on after the fork (``set_tracer``); the
+    request that first asks for spans must already record them, or the
+    process backend reports fewer spans than the in-process one for the
+    same work.
+    """
+    if want_trace and _trace.get_tracer() is None:
+        _trace.set_tracer(_trace.Tracer())
+
+
 def _drain_spans(want_trace: bool):
     tr = _trace.get_tracer()
-    if want_trace and tr is None:
-        # the router turned tracing on after the fork (set_tracer): start
-        # collecting from this request onward
-        _trace.set_tracer(_trace.Tracer())
-        return []
     if tr is None:
         return []
     spans = tr.drain()
@@ -155,6 +161,7 @@ def serve(cmd_r: int, res_w: int, build: Callable[[], object],
                 # (durable state is safe: recovery replays snapshot+WAL)
                 break
             _apply_plan_directive(plan_directive, state)
+            _ensure_tracer(want_trace)
             op = request[0]
             try:
                 if op == "call":

@@ -5,11 +5,14 @@
 * every ``repro.*`` dotted name mentioned in ``README.md`` / ``DESIGN.md``
   imports (module) or resolves (attribute);
 * every repo-relative file path mentioned there exists;
-* every markdown link target in ``README.md`` exists.
+* every markdown link target in ``README.md`` exists;
+* the README environment table names exactly the ``REPRO_*`` variables
+  the code under ``src/`` reads.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -29,8 +32,40 @@ def test_readme_exists_and_fronts_the_repo():
     assert "Elekes" in text and "DESIGN.md" in text
     for section in ("Quickstart", "Running the tests", "Benchmarks", "Environment"):
         assert section in text, f"README lost its {section} section"
-    for knob in ("REPRO_WORKERS", "REPRO_PARALLEL_CUTOFF"):
-        assert knob in text
+
+
+def _env_names_in_src() -> set:
+    """Every string literal under ``src/`` that is a whole ``REPRO_*``
+    variable name -- what ``os.environ`` lookups and the env helpers are
+    called with (docstrings mention names inside prose, so they never
+    match a whole literal)."""
+    names = set()
+    for path in (ROOT / "src").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if re.fullmatch(r"REPRO_[A-Z0-9_]+", node.value):
+                    names.add(node.value)
+    return names
+
+
+def _env_names_in_readme_table() -> set:
+    """``REPRO_*`` names in the first column of README's environment table."""
+    text = _read("README.md")
+    section = text.split("## Environment knobs", 1)[1].split("\n## ", 1)[0]
+    names = set()
+    for line in section.splitlines():
+        if line.startswith("| `REPRO_"):
+            names.update(re.findall(r"REPRO_[A-Z0-9_]+", line.split("|")[1]))
+    return names
+
+
+def test_readme_env_table_matches_the_variables_src_reads():
+    in_src, in_table = _env_names_in_src(), _env_names_in_readme_table()
+    assert in_src, "found no REPRO_* lookups under src/?"
+    assert in_table == in_src, (
+        f"undocumented: {sorted(in_src - in_table)}; "
+        f"documented but never read: {sorted(in_table - in_src)}"
+    )
 
 
 def test_readme_quickstart_executes_verbatim(capsys):

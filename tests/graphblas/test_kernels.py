@@ -164,7 +164,30 @@ class TestReduceKernels:
 
 
 class TestSpgemmGuards:
+    def test_over_limit_degrades_to_tiles(self, monkeypatch):
+        """Totals above FLOP_LIMIT run in row tiles instead of failing, and
+        the tiled result is identical, values and dtypes."""
+        from repro.graphblas import semiring
+        from repro.graphblas._kernels import spgemm
+
+        rng = np.random.default_rng(11)
+
+        def rand_coo(nrows, ncols, nnz):
+            r, c, v = coo.canonicalize_matrix(
+                rng.integers(0, nrows, nnz), rng.integers(0, ncols, nnz),
+                rng.integers(-3, 4, nnz), nrows, ncols, dup_op=plus_monoid.op,
+            )
+            return (r, c, v, nrows, ncols)
+
+        a, b = rand_coo(120, 80, 900), rand_coo(80, 100, 900)
+        want = spgemm.generic_mxm(a, b, semiring.plus_times)
+        monkeypatch.setattr(spgemm, "FLOP_LIMIT", 500)
+        got = spgemm.generic_mxm(a, b, semiring.plus_times)
+        for w, g in zip(want, got):
+            assert np.array_equal(w, g) and w.dtype == g.dtype
+
     def test_flop_limit(self, monkeypatch):
+        """A single row that alone exceeds the limit cannot be tiled."""
         from repro.graphblas import semiring
         from repro.graphblas._kernels import spgemm
 
@@ -183,5 +206,5 @@ class TestSpgemmGuards:
             2,
             2,
         )
-        with pytest.raises(ReproError):
+        with pytest.raises(ReproError, match="single output row"):
             spgemm.generic_mxm(a, b, semiring.plus_times)

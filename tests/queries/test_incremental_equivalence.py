@@ -35,7 +35,7 @@ def test_q1_incremental_equals_batch(case):
 
 @given(graph_and_updates())
 @settings(max_examples=30, deadline=None)
-@pytest.mark.parametrize("algorithm", ["fastsv", "unionfind", "incremental"])
+@pytest.mark.parametrize("algorithm", ["fastsv", "unionfind", "incremental", "batched"])
 def test_q2_incremental_equals_batch(algorithm, case):
     _, g, change_sets = case
     q = Q2Incremental(g, algorithm=algorithm)

@@ -31,7 +31,7 @@ class TestInitialEvaluation:
     def test_q2_top3(self, paper_graph):
         assert Q2Batch(paper_graph).evaluate() == [(C2, 5), (C1, 4), (C3, 0)]
 
-    @pytest.mark.parametrize("algorithm", ["fastsv", "unionfind"])
+    @pytest.mark.parametrize("algorithm", ["fastsv", "unionfind", "batched"])
     def test_q2_algorithms_agree(self, paper_graph, algorithm):
         assert Q2Batch(paper_graph, algorithm=algorithm).scores().to_dense().tolist() == [4, 5, 0]
 
@@ -70,7 +70,7 @@ class TestIncrementalQ1:
 
 
 class TestIncrementalQ2:
-    @pytest.mark.parametrize("algorithm", ["fastsv", "unionfind", "incremental"])
+    @pytest.mark.parametrize("algorithm", ["fastsv", "unionfind", "incremental", "batched"])
     def test_full_sequence(self, algorithm):
         g = build_paper_graph()
         q = Q2Incremental(g, algorithm=algorithm)

@@ -1,24 +1,20 @@
-"""Concurrent engine fan-out and parallel-machinery lifecycle.
+"""Concurrent engine fan-out.
 
 The serving layer refreshes independent engines concurrently per applied
-batch; these tests pin (a) result equivalence with the serial fan-out over
-the same change stream, (b) per-engine metrics preservation, and (c) the
-teardown guarantees: neither ``close()`` nor a crashed apply may leave
-forked kernel workers behind.
+batch; these tests pin result equivalence with the serial fan-out over
+the same change stream, per-engine metrics preservation, the adaptive
+gate, a deterministic failure order, and the teardown guarantee: neither
+``close()``, a failed constructor nor a crashed apply may leave refresh
+threads running.
 """
 
-import os
+import threading
 
 import pytest
 
 from repro.datagen import generate_benchmark_input
-from repro.graphblas._kernels import parallel as kp
 from repro.model.changes import AddUser
 from repro.serving import GraphService
-
-pytestmark = pytest.mark.skipif(
-    not hasattr(os, "fork"), reason="fork-based kernel executor is POSIX-only"
-)
 
 ALL_TOOLS = (
     "graphblas-batch",
@@ -103,100 +99,51 @@ class TestFanoutEquivalence:
             assert svc._fanout is None
 
 
-class TestKernelExecutorLifecycle:
-    @pytest.fixture(autouse=True)
-    def reset_kernel_executor(self):
-        kp.close_kernel_executor()
-        yield
-        kp.close_kernel_executor()
+def _refresh_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("engine-refresh")]
 
-    def _child_pids(self):
-        ex = kp.get_kernel_executor()
-        assert ex is not None
-        ex.start()
-        return [pid for pid, _, _ in ex._children]
 
-    @staticmethod
-    def _assert_gone(pids):
-        for pid in pids:
-            with pytest.raises(OSError):
-                os.kill(pid, 0)  # reaped: no such process, not even a zombie
-
-    def test_close_tears_down_kernel_workers(self, monkeypatch, stream):
-        monkeypatch.setenv("REPRO_WORKERS", "2")
+class TestFanoutTeardown:
+    def test_close_stops_refresh_threads(self, monkeypatch, stream):
         graph_a, _, changes = stream
-        svc = GraphService(graph_a, tools=("graphblas-incremental",), max_batch=16)
-        pids = self._child_pids()
-        assert pids
+        monkeypatch.setattr(GraphService, "MIN_FANOUT_REFRESH_S", 0.0)
+        svc = GraphService(graph_a, tools=ALL_TOOLS, max_batch=16, max_delay_ms=1e9)
         _drive(svc, changes[:40])
+        assert _refresh_threads()  # the pool really ran
         svc.close()
-        assert kp._state["executor"] is None
-        self._assert_gone(pids)
+        assert svc._fanout is None
+        assert not _refresh_threads()
 
-    def test_shared_executor_survives_until_last_service(self, monkeypatch, stream):
-        """Closing one of two services must not kill the other's workers;
-        the last close stops them (refcounted env executor)."""
-        monkeypatch.setenv("REPRO_WORKERS", "2")
-        graph_a, graph_b, changes = stream
-        svc_a = GraphService(graph_a, tools=("graphblas-incremental",), max_batch=16)
-        svc_b = GraphService(graph_b, tools=("graphblas-incremental",), max_batch=16)
-        pids = self._child_pids()
-        svc_a.close()
-        assert kp._state["executor"] is not None  # svc_b still holds it
-        for pid in pids:
-            os.kill(pid, 0)  # workers alive
-        _drive(svc_b, changes[:20])
-        svc_b.close()
-        assert kp._state["executor"] is None
-        self._assert_gone(pids)
-
-    def test_explicit_executor_is_caller_owned(self, stream):
-        """A set_kernel_executor() pool must survive service teardown."""
-        from repro.parallel import make_executor
-
+    def test_failed_init_stops_refresh_threads(self, monkeypatch, stream):
+        """A constructor failure after the pool started must stop it."""
         graph_a, _, _ = stream
-        ex = make_executor("persistent", 2)
-        kp.set_kernel_executor(ex)
-        try:
-            svc = GraphService(graph_a, tools=("graphblas-incremental",))
-            svc.close()
-            assert kp.get_kernel_executor() is ex  # not closed, not cleared
-        finally:
-            kp.close_kernel_executor()
 
-    def test_failed_init_releases_executor(self, monkeypatch, stream):
-        """A constructor failure after the retain must release the workers."""
-        monkeypatch.setenv("REPRO_WORKERS", "2")
-        graph_a, _, _ = stream
-        monkeypatch.setattr(
-            GraphService,
-            "_load_engines",
-            lambda self: (_ for _ in ()).throw(RuntimeError("load boom")),
-        )
+        def load_then_fail(self):
+            self._fanout.submit(lambda: None).result()
+            raise RuntimeError("load boom")
+
+        monkeypatch.setattr(GraphService, "_load_engines", load_then_fail)
         with pytest.raises(RuntimeError, match="load boom"):
-            GraphService(graph_a, tools=("graphblas-incremental",))
-        assert kp._state["executor"] is None
-        assert kp._state["refs"] == 0
+            GraphService(graph_a, tools=ALL_TOOLS)
+        assert not _refresh_threads()
 
-    def test_crashed_apply_leaves_no_children(self, monkeypatch, stream):
-        monkeypatch.setenv("REPRO_WORKERS", "2")
+    def test_crashed_apply_stops_refresh_threads(self, monkeypatch, stream):
         graph_a, _, _ = stream
+        monkeypatch.setattr(GraphService, "MIN_FANOUT_REFRESH_S", 0.0)
         svc = GraphService(graph_a, tools=ALL_TOOLS, max_batch=1)
-        pids = self._child_pids()
-        assert pids
-
         engine = svc._engines[("Q1", "graphblas-incremental")]
         monkeypatch.setattr(
             engine, "refresh", lambda delta: (_ for _ in ()).throw(RuntimeError("boom"))
         )
         with pytest.raises(RuntimeError, match="boom"):
             svc.submit(AddUser(user_id=987654, name="crash"))
-        # fail-stopped AND cleaned up: no executor slot, no live children
+        # fail-stopped AND cleaned up: no pool, no live refresh threads
         assert svc._failed
         assert svc._fanout is None
-        assert kp._state["executor"] is None
-        self._assert_gone(pids)
+        assert not _refresh_threads()
 
+
+class TestFailureOrder:
     def test_failure_order_is_deterministic(self, monkeypatch, stream):
         """Two poisoned engines: the one earliest in registration order
         must be the error surfaced, regardless of completion order."""

@@ -123,6 +123,48 @@ class TestChangeLog:
             list(log.replay())
 
 
+class TestTornTailSweep:
+    """Byte-level tears of the last frame: every cut point of the final
+    append must read as "that frame never committed", both to a reader
+    (replay) and to a recovering writer (repair, then append)."""
+
+    @staticmethod
+    def _two_frame_log(tmp_path):
+        log = ChangeLog(tmp_path / "src")
+        log.append(1, ChangeSet([AddUser(1, "a")]))
+        first = log.path.stat().st_size
+        log.append(2, ChangeSet([AddUser(2, "b"), AddFriendship(1, 2)]))
+        log.close()
+        return log.path.read_bytes(), first
+
+    @staticmethod
+    def _cut_log(tmp_path, data: bytes, cut: int) -> ChangeLog:
+        d = tmp_path / f"cut{cut}"
+        d.mkdir()
+        (d / ChangeLog.FILENAME).write_bytes(data[:cut])
+        return ChangeLog(d)
+
+    def test_every_cut_replays_the_committed_prefix(self, tmp_path):
+        data, first = self._two_frame_log(tmp_path)
+        for cut in range(first, len(data) + 1):
+            log = self._cut_log(tmp_path, data, cut)
+            want = [1, 2] if cut == len(data) else [1]
+            assert [v for v, _ in log.replay()] == want, cut
+
+    def test_every_cut_repairs_and_appends_cleanly(self, tmp_path):
+        data, first = self._two_frame_log(tmp_path)
+        for cut in range(first, len(data) + 1):
+            log = self._cut_log(tmp_path, data, cut)
+            prefix = [1, 2] if cut == len(data) else [1]
+            log.repair()
+            nxt = prefix[-1] + 1
+            log.append(nxt, ChangeSet([AddUser(100 + nxt, "n")]))
+            log.close()
+            got = list(ChangeLog(log.path.parent).replay())
+            assert [v for v, _ in got] == prefix + [nxt], cut
+            assert list(got[-1][1]) == [AddUser(100 + nxt, "n")], cut
+
+
 class TestSnapshotStore:
     def test_save_load_roundtrip(self, tmp_path):
         store = SnapshotStore(tmp_path)

@@ -9,6 +9,7 @@ trace grafting, lifecycle/idempotence -- independent of the router.
 from __future__ import annotations
 
 import pickle
+from collections import Counter
 
 import pytest
 
@@ -182,3 +183,25 @@ def test_worker_spans_graft_into_one_connected_tree():
         assert len(by_id) == len(spans)
     finally:
         set_tracer(None)
+
+
+def _span_names_after_fork(backend: str) -> Counter:
+    """Span-name multiset of 20 single-change batches, the tracer being
+    installed only after the shard workers were forked."""
+    svc = ShardedGraphService(shards=2, backend=backend, **SVC_KW)
+    tr = Tracer()
+    set_tracer(tr)
+    try:
+        for uid in range(1, 21):
+            svc.submit([AddUser(uid)])
+            svc.flush()
+        svc.close()
+        return Counter(s["name"] for s in tr.finished())
+    finally:
+        set_tracer(None)
+
+
+def test_backends_emit_the_same_span_multiset():
+    inproc = _span_names_after_fork("inproc")
+    assert inproc["batch"] == 20 + 2 * 20  # router + one per shard
+    assert _span_names_after_fork("process") == inproc
